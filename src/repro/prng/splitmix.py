@@ -25,7 +25,11 @@ __all__ = [
     "splitmix64",
     "mix64",
     "hash_string",
+    "hash_string_seeds",
 ]
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 #: Weyl-sequence increment used by SplitMix64 (2^64 / phi, odd).
 GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -87,8 +91,22 @@ def hash_string(text, seed=0):
     and Python processes is required (so the built-in ``hash`` is not
     usable — it is salted per process).
     """
-    h = 0xCBF29CE484222325 ^ (int(seed) & _U64_MASK)
+    h = _FNV_OFFSET ^ (int(seed) & _U64_MASK)
     for byte in text.encode("utf-8"):
         h ^= byte
-        h = (h * 0x100000001B3) & _U64_MASK
+        h = (h * _FNV_PRIME) & _U64_MASK
     return int(mix64(np.uint64(h)))
+
+
+def hash_string_seeds(text, seeds):
+    """:func:`hash_string` of ``text`` under every seed of ``seeds``.
+
+    One vectorised pass: ``hash_string_seeds(t, s)[i] ==
+    hash_string(t, s[i])`` for a ``uint64`` array ``s``.
+    """
+    h = np.asarray(seeds, dtype=np.uint64) ^ np.uint64(_FNV_OFFSET)
+    with np.errstate(over="ignore"):
+        for byte in text.encode("utf-8"):
+            h ^= np.uint64(byte)
+            h *= np.uint64(_FNV_PRIME)
+    return mix64(h)

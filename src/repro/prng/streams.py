@@ -28,11 +28,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .splitmix import GOLDEN_GAMMA, hash_string, mix64, splitmix64
+from ._ckernel import load_ckernel
+from .splitmix import (
+    GOLDEN_GAMMA,
+    hash_string,
+    hash_string_seeds,
+    mix64,
+    splitmix64,
+)
 
-__all__ = ["RandomStream", "derive_seed"]
+__all__ = ["RandomStream", "derive_seed", "derive_seeds", "shuffle_segments"]
 
 _DOUBLE_NORM = 1.0 / (1 << 53)
+_NAME_SALT = 0xA5A5A5A5A5A5A5A5
 
 
 def derive_seed(root_seed, *names):
@@ -45,8 +53,89 @@ def derive_seed(root_seed, *names):
     """
     seed = int(root_seed)
     for name in names:
-        seed = hash_string(str(name), seed=seed ^ 0xA5A5A5A5A5A5A5A5)
+        seed = hash_string(str(name), seed=seed ^ _NAME_SALT)
     return seed & ((1 << 64) - 1)
+
+
+def derive_seeds(seeds, name):
+    """``derive_seed(s, name)`` for every seed of the ``uint64`` array
+    ``seeds`` -- the seeds of ``RandomStream(s).substream(name)`` --
+    in one vectorised pass.
+
+    >>> s = np.array([3, 2**63], dtype=np.uint64)
+    >>> [int(v) for v in derive_seeds(s, "x")] == [
+    ...     derive_seed(3, "x"), derive_seed(2**63, "x")]
+    True
+    """
+    salted = np.asarray(seeds, dtype=np.uint64) ^ np.uint64(_NAME_SALT)
+    return hash_string_seeds(str(name), salted)
+
+
+def _raw_segments(seeds, offsets):
+    """Raw draws over consecutive segments, one stream per segment.
+
+    Segment ``s`` spans ``offsets[s]:offsets[s + 1]`` and holds
+    ``RandomStream(seeds[s]).raw(j)`` for ``j = 0, 1, ...``.  Returns
+    ``(bits, position)``, ``position`` being ``j`` as ``uint64``.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    lengths = np.diff(offsets)
+    position = np.arange(offsets[0], offsets[-1], dtype=np.uint64)
+    if seeds.size == 1:
+        seed = seeds[0]
+        position -= np.uint64(offsets[0])
+    else:
+        # Position within each segment: global position minus the
+        # segment start, so draw j of segment s indexes its stream at
+        # j exactly as the scalar path does.
+        position -= np.repeat(offsets[:-1].astype(np.uint64), lengths)
+        seed = np.repeat(seeds, lengths)
+    with np.errstate(over="ignore"):
+        state = seed + (position + np.uint64(1)) * GOLDEN_GAMMA
+    return mix64(state), position
+
+
+def _apply_swaps(data, offsets, targets):
+    """Reference Fisher-Yates loop: the swaps of :func:`shuffle_segments`
+    in Python, used when no compiled kernel is available."""
+    for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        for pos, tgt in zip(range(hi - 1, lo, -1),
+                            targets[hi - 1:lo:-1].tolist()):
+            data[pos], data[lo + tgt] = data[lo + tgt], data[pos]
+
+
+def shuffle_segments(data, offsets, seeds):
+    """Fisher-Yates shuffle, in place, of each segment of ``data``.
+
+    Segment ``s`` (``data[offsets[s]:offsets[s + 1]]``) is reordered
+    exactly as indexing it with ``RandomStream(seeds[s]).permutation``
+    of its length would reorder it: position ``pos`` (from the end down
+    to 1) swaps with ``int(u * (pos + 1))``, ``u`` being the stream's
+    ``uniform(pos)``.  All draws are one vectorised pass over the
+    segments; the swaps run in a compiled loop when a C compiler is
+    available and in :func:`_apply_swaps` otherwise.
+
+    ``data`` must be a C-contiguous ``int64`` array.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.size < 2 or offsets[-1] == offsets[0]:
+        return data
+    bits, position = _raw_segments(seeds, offsets)
+    u = (bits >> np.uint64(11)).astype(np.float64)
+    u *= _DOUBLE_NORM
+    position += np.uint64(1)
+    targets = (u * position).astype(np.int64)
+    # ``targets`` is indexed from offsets[0]; shift the segment bounds
+    # into that frame and the data window with them.
+    window = data[offsets[0]:offsets[-1]]
+    local = offsets - offsets[0]
+    kernel = load_ckernel()
+    if kernel is None:
+        _apply_swaps(window, local, targets)
+    else:
+        kernel.shuffle_segments(window, local, targets)
+    return data
 
 
 class RandomStream:
@@ -191,20 +280,7 @@ class RandomStream:
         """
         index, lengths, offsets = self._ragged_offsets(index, lengths)
         seeds = self.indexed_substream_seeds(index)
-        total = int(offsets[-1])
-        position = np.arange(total, dtype=np.uint64)
-        # Position within each segment: global position minus the
-        # segment start, so draw j of instance i indexes its substream
-        # at j exactly as the scalar path does.
-        position -= np.repeat(
-            offsets[:-1].astype(np.uint64), lengths
-        )
-        with np.errstate(over="ignore"):
-            state = (
-                np.repeat(seeds, lengths)
-                + (position + np.uint64(1)) * GOLDEN_GAMMA
-            )
-        return mix64(state), offsets
+        return _raw_segments(seeds, offsets)[0], offsets
 
     def uniform_ragged(self, index, lengths):
         """Uniform float64 in ``[0, 1)``, ``lengths[i]`` per instance.
@@ -227,17 +303,15 @@ class RandomStream:
     def permutation(self, n):
         """Deterministic permutation of ``range(n)`` (Fisher-Yates).
 
-        This is the one operation that is inherently sequential; it is used
-        only for experiment set-up (random arrival order), never inside the
-        in-place generation path.
+        The swap targets are drawn in one vectorised pass; the swaps
+        themselves are inherently sequential and run in the compiled
+        loop of :func:`shuffle_segments`.  Every permutation matching,
+        arrival order, ``one_to_many`` head map and bipartite stub
+        shuffle goes through here, in the serial engine, the sharded
+        parent and the server's warm-up.
         """
         perm = np.arange(n, dtype=np.int64)
-        # Vectorised draw of all swap targets first, then apply.
-        idx = np.arange(n - 1, 0, -1, dtype=np.int64)
-        u = self.uniform(idx)
-        targets = (u * (idx + 1)).astype(np.int64)
-        for pos, tgt in zip(idx, targets):
-            perm[pos], perm[tgt] = perm[tgt], perm[pos]
+        shuffle_segments(perm, [0, n], [self.seed])
         return perm
 
     def choice(self, index, weights):

@@ -140,7 +140,13 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for key, value in headers:
             self.send_header(key, value)
-        self.end_headers()
+        # Headers and body leave in one write.  Two small writes on a
+        # keep-alive connection meet Nagle's algorithm and the client's
+        # delayed ACK, which stalls every response by ~40 ms.
+        if self.request_version != "HTTP/0.9":  # 0.9 has no headers
+            self._headers_buffer.append(b"\r\n")
+            payload = b"".join(self._headers_buffer) + payload
+            self._headers_buffer = []
         self.wfile.write(payload)
 
     def _send_json(self, obj, status=200, headers=()):
@@ -342,6 +348,18 @@ class GraphRequestHandler(BaseHTTPRequestHandler):
             params, "direction", "both", {"out", "in", "both"}
         )
         graph.edge_count(name)  # 404 on unknown edge types
+        edge = graph.schema.edge_type(name)
+        # Out-neighbours are looked up by tail id, in-neighbours by head
+        # id; "both" accepts an id of either endpoint type.
+        tails = graph.node_count(edge.tail_type)
+        heads = graph.node_count(edge.head_type)
+        count = {"out": tails, "in": heads}.get(direction, max(tails, heads))
+        if not 0 <= node_id < count:
+            raise _HTTPError(
+                404,
+                f"node id {node_id} out of range [0, {count}) for "
+                f"{direction!r} neighbours over {name!r}",
+            )
         neighbors = graph.neighbors_of(name, node_id, direction)
         lo, hi = self._page(params, neighbors.size)
         self._send_json({

@@ -11,9 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .base import StructureGenerator, edge_table_from_pairs, ensure_even_sum
+from ..prng.streams import derive_seeds, shuffle_segments
 from ..stats import Empirical
 
-__all__ = ["ConfigurationModel", "pair_stubs"]
+__all__ = [
+    "ConfigurationModel",
+    "drop_odd_stubs",
+    "pair_stubs",
+    "pair_stubs_segments",
+    "pair_stubs_with_repair",
+]
 
 
 def pair_stubs(degrees, stream, simplify=True):
@@ -42,20 +49,120 @@ def pair_stubs(degrees, stream, simplify=True):
         raise ValueError("degree sum must be even")
     if total == 0:
         return np.empty((0, 2), dtype=np.int64)
-    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
-    perm = stream.permutation(total)
-    stubs = stubs[perm]
-    pairs = stubs.reshape(-1, 2)
+    pairs = _shuffled_stub_pairs(degrees, [0, degrees.size], [stream.seed])
     if simplify:
-        lo = np.minimum(pairs[:, 0], pairs[:, 1])
-        hi = np.maximum(pairs[:, 0], pairs[:, 1])
-        keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        keys = lo * np.int64(degrees.size) + hi
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        pairs = np.stack([lo[first], hi[first]], axis=1)
+        pairs = _erase(pairs, degrees.size)
     return pairs
+
+
+def _shuffled_stub_pairs(degrees, offsets, seeds):
+    """Stubs of every node, shuffled within each segment, as pairs.
+
+    Segment ``s`` holds the stubs of nodes ``offsets[s]:offsets[s + 1]``
+    shuffled by ``RandomStream(seeds[s])``; every segment's stub count
+    must be even, so no pair straddles two segments.
+    """
+    stubs = np.repeat(np.arange(degrees.size, dtype=np.int64), degrees)
+    stub_offsets = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=stub_offsets[1:])
+    shuffle_segments(stubs, stub_offsets[np.asarray(offsets)], seeds)
+    return stubs.reshape(-1, 2)
+
+
+def _erase(pairs, n):
+    """Drop loops and repeated pairs, keeping first occurrences in order;
+    endpoints come back as ``(min, max)``."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    keep = lo != hi
+    lo, hi = lo[keep], hi[keep]
+    _, first = np.unique(lo * np.int64(n) + hi, return_index=True)
+    first.sort()
+    return np.stack([lo[first], hi[first]], axis=1)
+
+
+def _segment_sums(values, offsets):
+    csum = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=csum[1:])
+    return csum[offsets[1:]] - csum[offsets[:-1]]
+
+
+def drop_odd_stubs(degrees, offsets, mask=None):
+    """Make every segment's degree sum even, in place.
+
+    A segment (``degrees[offsets[s]:offsets[s + 1]]``, optionally only
+    where ``mask`` is set) with an odd sum loses one stub from its
+    first largest-degree node.
+    """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    odd = _segment_sums(degrees, offsets) % 2 == 1
+    if mask is not None:
+        odd &= mask
+    if not odd.any():
+        return degrees
+    lengths = np.diff(offsets)
+    nonempty = lengths > 0
+    seg_max = np.full(lengths.size, -1, dtype=np.int64)
+    seg_max[nonempty] = np.maximum.reduceat(
+        degrees, offsets[:-1][nonempty]
+    )
+    at_max = np.flatnonzero(degrees == np.repeat(seg_max, lengths))
+    top = at_max[np.searchsorted(at_max, offsets[:-1][odd])]
+    degrees[top] -= 1
+    return degrees
+
+
+def pair_stubs_segments(degrees, offsets, seeds, rounds=3):
+    """:func:`pair_stubs_with_repair` on many degree sequences at once.
+
+    ``degrees[offsets[s]:offsets[s + 1]]`` is segment ``s``, wired with
+    ``RandomStream(seeds[s])`` exactly as ``pair_stubs_with_repair``
+    would wire it alone, its node ids shifted by ``offsets[s]``.  Each
+    repair round is one vectorised pass over the segments still active:
+    one stub shuffle (:func:`~repro.prng.streams.shuffle_segments`),
+    one ``np.unique`` over segment-disjoint keys, and per-segment masks
+    for the early stops (fewer than two stubs left, nothing paired,
+    nothing new paired).  Edges come back segment-major, round-minor,
+    as the per-segment calls would concatenate them.
+    """
+    degrees = np.asarray(degrees, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n = degrees.size
+    segment_of = np.repeat(
+        np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets)
+    )
+    active = np.ones(offsets.size - 1, dtype=bool)
+    realised = np.zeros(n, dtype=np.int64)
+    deficit = degrees.copy()
+    seen = np.empty(0, dtype=np.int64)
+    chunks = []
+    for round_id in range(rounds):
+        active &= _segment_sums(deficit, offsets) >= 2
+        if not active.any():
+            break
+        drop_odd_stubs(deficit, offsets, active)
+        deficit[~active[segment_of]] = 0
+        round_seeds = derive_seeds(seeds, f"repair{round_id}")
+        pairs = _erase(
+            _shuffled_stub_pairs(deficit, offsets, round_seeds), n
+        )
+        keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
+        if round_id:
+            new = ~np.isin(keys, seen, assume_unique=True)
+            pairs, keys = pairs[new], keys[new]
+        seen = np.concatenate([seen, keys])
+        # Segments that paired nothing, or nothing new, stop here.
+        active &= np.bincount(
+            segment_of[pairs[:, 0]], minlength=active.size
+        ) > 0
+        chunks.append(pairs)
+        realised += np.bincount(pairs.ravel(), minlength=n)
+        deficit = np.maximum(degrees - realised, 0)
+    if not chunks:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = np.concatenate(chunks, axis=0)
+    order = np.argsort(segment_of[pairs[:, 0]], kind="stable")
+    return pairs[order]
 
 
 def pair_stubs_with_repair(degrees, stream, rounds=3):
@@ -63,44 +170,15 @@ def pair_stubs_with_repair(degrees, stream, rounds=3):
 
     Plain erased pairing loses substantial degree mass on dense inputs
     (duplicates collapse).  After each round the per-node deficit
-    (prescribed minus realised degree) is re-paired; accumulated edges
-    are globally deduplicated.  Converges quickly: dense communities in
+    (prescribed minus realised degree) is re-paired with
+    ``stream.substream(f"repair{round}")``; accumulated edges are
+    globally deduplicated.  Converges quickly: dense communities in
     LFR recover most of their prescribed degree in 2-3 rounds.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
-    n = degrees.size
-    realised = np.zeros(n, dtype=np.int64)
-    seen = None
-    chunks = []
-    deficit = degrees.copy()
-    for round_id in range(rounds):
-        if int(deficit.sum()) < 2:
-            break
-        if int(deficit.sum()) % 2 == 1:
-            top = int(np.argmax(deficit))
-            deficit[top] -= 1
-        pairs = pair_stubs(
-            deficit, stream.substream(f"repair{round_id}"), simplify=True
-        )
-        if pairs.size == 0:
-            break
-        keys = pairs[:, 0] * np.int64(n) + pairs[:, 1]
-        if seen is None:
-            seen = keys
-            fresh = pairs
-        else:
-            new_mask = ~np.isin(keys, seen)
-            fresh = pairs[new_mask]
-            if fresh.size == 0:
-                break
-            seen = np.concatenate([seen, keys[new_mask]])
-        chunks.append(fresh)
-        np.add.at(realised, fresh[:, 0], 1)
-        np.add.at(realised, fresh[:, 1], 1)
-        deficit = np.maximum(degrees - realised, 0)
-    if chunks:
-        return np.concatenate(chunks, axis=0)
-    return np.empty((0, 2), dtype=np.int64)
+    return pair_stubs_segments(
+        degrees, [0, degrees.size], [stream.seed], rounds
+    )
 
 
 class ConfigurationModel(StructureGenerator):

@@ -36,12 +36,22 @@ from __future__ import annotations
 import numpy as np
 
 from .base import StructureGenerator
-from .configuration import pair_stubs_with_repair
+from .configuration import (
+    drop_odd_stubs,
+    pair_stubs_segments,
+    pair_stubs_with_repair,
+)
 from .degree_sequences import powerlaw_degree_sequence
+from ..prng._ckernel import load_ckernel
 from ..stats import PowerLaw
 from ..tables import EdgeTable
 
 __all__ = ["LFR", "LfrResult"]
+
+#: Internal stubs wired per segmented batch of communities.  Bounds the
+#: batch's temporaries (a few int64 arrays of this length) so peak
+#: memory stays that of the per-community loop it replaced.
+_STUB_BUDGET = 1 << 18
 
 
 class LfrResult:
@@ -123,22 +133,22 @@ class LFR(StructureGenerator):
             return np.array([n], dtype=np.int64)
         tau2 = self._params.get("tau2", 1.0)
         dist = PowerLaw(tau2, cmin, cmax)
-        sizes = []
-        total = 0
-        draw = 0
-        while total < n:
-            size = int(dist.sample_values(stream, np.int64(draw)))
-            sizes.append(size)
-            total += size
-            draw += 1
-        overshoot = total - n
+        # Draw j is a pure function of j, so draw every size the loop
+        # "draw until the sizes reach n" could need (each is >= cmin)
+        # at once and keep the prefix that first reaches n.
+        draws = dist.sample_values(
+            stream, np.arange(n // cmin + 1, dtype=np.int64)
+        )
+        totals = np.cumsum(draws)
+        count = int(np.searchsorted(totals, n)) + 1
+        sizes = draws[:count]
         # Shave the overshoot off the last community; merge it into the
         # previous one if that pushes it below the minimum size.
-        sizes[-1] -= overshoot
-        if sizes[-1] < cmin and len(sizes) > 1:
+        sizes[-1] -= int(totals[count - 1]) - n
+        if sizes[-1] < cmin and count > 1:
             sizes[-2] += sizes[-1]
-            sizes.pop()
-        return np.array(sizes, dtype=np.int64)
+            sizes = sizes[:-1]
+        return sizes.astype(np.int64)
 
     def _assign_communities(self, internal_degrees, sizes, stream):
         """Capacity-weighted assignment of nodes to eligible communities.
@@ -147,11 +157,22 @@ class LFR(StructureGenerator):
         size ``> d``.  Nodes are processed by decreasing internal degree;
         communities sorted by decreasing size, so the eligible set is a
         growing prefix.  Sampling within the prefix is proportional to
-        remaining capacity via a Fenwick tree (O(log C) per draw).
+        remaining capacity via a Fenwick tree (O(log C) per draw).  The
+        loop is sequential (every draw changes the weights the next one
+        sees), so it runs compiled when a C compiler is available; the
+        Python loop below is the fallback and the reference.
         """
         n = internal_degrees.size
         order_c = np.argsort(-sizes, kind="stable")
         sorted_sizes = sizes[order_c]
+        order_n = np.argsort(-internal_degrees, kind="stable")
+        u = stream.uniform(np.arange(n, dtype=np.int64))
+        kernel = load_ckernel()
+        if kernel is not None:
+            return kernel.capacity_assign(
+                order_n, internal_degrees, sorted_sizes, order_c, u
+            )
+
         capacities = sorted_sizes.astype(np.int64).copy()
         num_c = sizes.size
 
@@ -184,10 +205,8 @@ class LFR(StructureGenerator):
                 bit >>= 1
             return pos  # 0-based community index in sorted order
 
-        order_n = np.argsort(-internal_degrees, kind="stable")
         assignment = np.empty(n, dtype=np.int64)
         opened = 0
-        u = stream.uniform(np.arange(n, dtype=np.int64))
         for rank, node in enumerate(order_n):
             d_int = int(internal_degrees[node])
             while opened < num_c and sorted_sizes[opened] > d_int:
@@ -225,32 +244,42 @@ class LFR(StructureGenerator):
         external = degrees - internal
 
         pair_chunks = []
-        # Per-community configuration model on internal stubs.
+        # Per-community configuration model on internal stubs, wired in
+        # batches of whole communities (one segmented pass each).
         comm_order = np.argsort(assignment, kind="stable")
         boundaries = np.searchsorted(
             assignment[comm_order], np.arange(sizes.size + 1)
         )
-        for c in range(sizes.size):
-            members = comm_order[boundaries[c]:boundaries[c + 1]]
-            if members.size < 2:
-                continue
-            local_deg = internal[members].copy()
-            if int(local_deg.sum()) % 2 == 1:
-                # Drop one stub from the largest-degree member.
-                top = int(np.argmax(local_deg))
-                if local_deg[top] > 0:
-                    local_deg[top] -= 1
-            local_pairs = pair_stubs_with_repair(
-                local_deg, stream.substream(f"intra{c}")
+        local_deg = drop_odd_stubs(internal[comm_order], boundaries)
+        stubs_before = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(local_deg, out=stubs_before[1:])
+        stubs_before = stubs_before[boundaries]
+        first = 0
+        while first < sizes.size:
+            # The longest run of communities within the stub budget,
+            # and at least one community.
+            last = max(
+                int(np.searchsorted(
+                    stubs_before, stubs_before[first] + _STUB_BUDGET,
+                    side="right",
+                )) - 1,
+                first + 1,
+            )
+            lo, hi = boundaries[first], boundaries[last]
+            seeds = np.array(
+                [stream.substream(f"intra{c}").seed
+                 for c in range(first, last)],
+                dtype=np.uint64,
+            )
+            local_pairs = pair_stubs_segments(
+                local_deg[lo:hi], boundaries[first:last + 1] - lo, seeds
             )
             if local_pairs.size:
-                pair_chunks.append(members[local_pairs])
+                pair_chunks.append(comm_order[lo:hi][local_pairs])
+            first = last
 
         # Global configuration model on external stubs.
-        ext = external.copy()
-        if int(ext.sum()) % 2 == 1:
-            top = int(np.argmax(ext))
-            ext[top] -= 1
+        ext = drop_odd_stubs(external.copy(), [0, n])
         ext_pairs = pair_stubs_with_repair(ext, stream.substream("inter"))
         if ext_pairs.size:
             pair_chunks.append(ext_pairs)

@@ -39,7 +39,15 @@ Fixture files
     bug this PR's satellite fix addresses, and the documented reason
     this one fixture is not legacy-identical.
 ``structures.npz``
-    tails/heads arrays of the Barabási–Albert and forest-fire graphs.
+    tails/heads arrays of the Barabási–Albert and forest-fire graphs,
+    plus tails/heads/communities of LFR graphs over
+    ``n in {0, 5, 1000, 20000} x mu in {0, 0.1, 0.5}`` and one
+    small-community case (sizes 2-4).  The LFR entries were recorded by
+    the per-community wiring loop and the pure-Python community
+    assignment, before the segmented compiled wiring replaced them;
+    small communities exercise the parity drop and the repair rounds
+    that stop early because nothing is left to pair or nothing new was
+    paired.
 """
 
 from __future__ import annotations
@@ -212,14 +220,43 @@ def large_case():
     return {"sbm.er100k.k32": assignment.astype(np.uint8)}
 
 
+#: LFR golden instances: name -> (seed, n, params).  ``n = 5`` needs a
+#: mean degree below ``n - 1``; the last case uses communities of 2-4.
+LFR_CASES = {
+    **{
+        f"lfr.n{n}.mu{mu}": (17, n, dict(params, mu=mu))
+        for n, params in (
+            (0, {}),
+            (5, {"avg_degree": 2, "max_degree": 4}),
+            (1000, {}),
+            (20000, {}),
+        )
+        for mu in (0.0, 0.1, 0.5)
+    },
+    "lfr.small_communities": (3, 500, {
+        "mu": 0.3, "min_community": 2, "max_community": 4,
+        "avg_degree": 3, "max_degree": 6,
+    }),
+}
+
+
 def structure_cases():
     """Edge arrays of the rewritten structure generators."""
+    from repro.structure import create_generator
+
     ba = _graph("barabasi_albert", 15, 500, m=4)
     ff = _graph("forest_fire", 16, 700, p=0.40, max_burn=60)
-    return {
+    out = {
         "ba.tails": ba.tails, "ba.heads": ba.heads,
         "ff.tails": ff.tails, "ff.heads": ff.heads,
     }
+    for name, (seed, n, params) in LFR_CASES.items():
+        result = create_generator("lfr", seed=seed, **params)
+        result = result.run_with_labels(n)
+        out[f"{name}.tails"] = result.table.tails
+        out[f"{name}.heads"] = result.table.heads
+        out[f"{name}.communities"] = result.communities
+    return out
 
 
 def regenerate():

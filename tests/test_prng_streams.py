@@ -6,6 +6,37 @@ import numpy as np
 import pytest
 
 from repro.prng import RandomStream, derive_seed
+from repro.prng.streams import derive_seeds, shuffle_segments
+
+
+def reference_permutation(stream, n):
+    """Fisher-Yates as a plain Python loop over numpy scalars: the
+    swap loop ``RandomStream.permutation`` ran before the swaps moved
+    into the sampling kernel."""
+    perm = np.arange(n, dtype=np.int64)
+    idx = np.arange(n - 1, 0, -1, dtype=np.int64)
+    u = stream.uniform(idx)
+    targets = (u * (idx + 1)).astype(np.int64)
+    for pos, tgt in zip(idx, targets):
+        perm[pos], perm[tgt] = perm[tgt], perm[pos]
+    return perm
+
+
+@pytest.fixture(params=["compiled", "python"])
+def sampling_kernel(request, monkeypatch):
+    """Run a test on the compiled swap loop and on the Python fallback
+    (``REPRO_NO_CKERNEL=1``), reloading the kernel for each."""
+    import repro.prng._ckernel as ck
+
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    monkeypatch.setattr(ck, "_LOADED", False)
+    monkeypatch.setattr(ck, "_KERNEL", None)
+    loaded = ck.load_ckernel() is not None
+    if request.param == "compiled" and not loaded:
+        pytest.skip("no compiled sampling kernel on this host")
+    assert loaded == (request.param == "compiled")
+    return request.param
 
 
 class TestRandomStreamCore:
@@ -107,6 +138,33 @@ class TestPermutation:
     def test_edge_sizes(self, stream):
         assert stream.permutation(0).size == 0
         assert np.array_equal(stream.permutation(1), [0])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000, 131073])
+    def test_matches_reference_loop(self, sampling_kernel, n):
+        stream = RandomStream(n, "perm")
+        got = stream.permutation(n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_permutation(stream, n))
+
+    def test_segments_shuffle_like_per_segment_permutations(
+        self, sampling_kernel
+    ):
+        lengths = [0, 1, 2, 7, 0, 300, 3, 1]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        seeds = np.arange(len(lengths), dtype=np.uint64) * np.uint64(977)
+        data = np.arange(offsets[-1], dtype=np.int64) * 3
+        original = data.copy()
+        shuffle_segments(data, offsets, seeds)
+        for lo, hi, seed in zip(offsets[:-1], offsets[1:], seeds):
+            perm = RandomStream(int(seed)).permutation(hi - lo)
+            assert np.array_equal(data[lo:hi], original[lo:hi][perm])
+
+    def test_derive_seeds_matches_derive_seed(self):
+        seeds = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+        got = derive_seeds(seeds, "repair2")
+        assert [int(v) for v in got] == [
+            derive_seed(int(s), "repair2") for s in seeds
+        ]
 
 
 class TestChoice:

@@ -18,6 +18,7 @@ Three pillars (docs/serving.md):
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -372,12 +373,26 @@ class TestHttpContract:
 
     def test_unknown_names_are_404_json(self, http_server):
         base, graph, virtual = http_server
+        messages = graph.node_counts["Message"]
+        assert messages > 200  # creates: Person (200) -> Message
         for path in ("/nodes/Nope", "/properties/Person/nope",
                      "/edges/nope", "/neighbors/nope/0",
+                     "/neighbors/knows/-1", "/neighbors/knows/200",
+                     "/neighbors/knows/99999999",
+                     "/neighbors/creates/200?direction=out",
+                     f"/neighbors/creates/{messages}?direction=in",
+                     f"/neighbors/creates/{messages}",
                      "/bogus/route"):
             status, body, ctype = _get(base, path)
             assert status == 404, path
             assert json.loads(body)["status"] == 404
+        # Each direction accepts the ids of its own endpoint type.
+        for path in ("/neighbors/knows/199",
+                     "/neighbors/creates/199?direction=out",
+                     "/neighbors/creates/200?direction=in",
+                     "/neighbors/creates/200"):
+            status, _, _ = _get(base, path)
+            assert status == 200, path
 
     def test_node_id_routes(self, http_server):
         base, graph, virtual = http_server
@@ -457,6 +472,51 @@ class TestHttpContract:
             base, f"/neighbors/knows/{probe}?direction=sideways"
         )
         assert status == 400
+
+    def test_keepalive_responses_leave_in_one_write(
+        self, http_server, monkeypatch
+    ):
+        """Headers and body go out in a single write per response; a
+        separate header write stalls keep-alive clients on Nagle's
+        algorithm and delayed ACKs."""
+        base, graph, virtual = http_server
+        from repro.serve.http import GraphRequestHandler
+
+        writes = []
+        setup = GraphRequestHandler.setup
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                writes.append(len(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(GraphRequestHandler, "setup", counting_setup)
+        paths = ["/healthz", "/nodes/Person?limit=64",
+                 "/properties/Person/country?limit=64",
+                 "/edges/knows?limit=64", "/neighbors/knows/0",
+                 "/nodes/Person/7", "/nodes/Person/200"]
+        host, port = base[len("http://"):].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            for count, path in enumerate(paths, start=1):
+                conn.request("GET", path)
+                response = conn.getresponse()
+                body = response.read()
+                assert int(response.headers["Content-Length"]) == len(body)
+                assert writes[count - 1] > len(body), path
+                assert len(writes) == count, path
+        finally:
+            conn.close()
 
     def test_concurrent_requests_are_byte_identical(self, http_server):
         base, graph, virtual = http_server

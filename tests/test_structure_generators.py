@@ -115,6 +115,34 @@ class TestConfigurationModel:
         keys = pairs[:, 0] * 25 + pairs[:, 1]
         assert np.unique(keys).size == pairs.shape[0]
 
+    def test_segments_wire_like_separate_calls(self):
+        """The segmented pass equals one pair_stubs_with_repair call per
+        segment, shifted and concatenated in segment order -- including
+        empty and one-node segments, odd sums and rounds that stop early
+        in some segments while others go on."""
+        from repro.structure.configuration import pair_stubs_segments
+
+        rng = np.random.default_rng(5)
+        sizes = [0, 1, 2, 5, 3, 40, 2, 9, 0, 25, 4]
+        degrees = [
+            rng.integers(0, max(size, 1), size=size) for size in sizes
+        ]
+        # Two-node segments: whether a round pairs nothing (all loops)
+        # or nothing new depends on the seed, so some stop early.
+        for _ in range(40):
+            sizes.append(2)
+            degrees.append(rng.integers(1, 4, size=2))
+        degrees = np.concatenate(degrees).astype(np.int64)
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        seeds = rng.integers(0, 2**63, size=len(sizes)).astype(np.uint64)
+        expected = [
+            pair_stubs_with_repair(degrees[lo:hi], RandomStream(int(seed)))
+            + lo
+            for lo, hi, seed in zip(offsets[:-1], offsets[1:], seeds)
+        ]
+        got = pair_stubs_segments(degrees, offsets, seeds)
+        assert np.array_equal(got, np.concatenate(expected, axis=0))
+
     def test_explicit_degrees(self):
         degrees = np.array([2, 2, 2, 2])
         table = ConfigurationModel(seed=3, degrees=degrees).run(4)

@@ -9,8 +9,9 @@ half is ``benchmarks/bench_serve.py``): a server that drifts from the
 export format by a single byte — header, CRLF, value encoding, page
 stitching — exits 1 here.  Also probes the non-CSV contracts: the
 meta route's access classification, neighbourhood queries against the
-materialised edge tables, edge existence, and the empty-page rule for
-past-the-end offsets.
+materialised edge tables, edge existence, the empty-page rule for
+past-the-end offsets, and the median latency of 200 requests over one
+keep-alive connection.
 
 Usage::
 
@@ -28,6 +29,12 @@ import tempfile
 import threading
 import urllib.request
 from pathlib import Path
+
+
+#: Keep-alive leg: requests over one connection, and the median
+#: latency above which the smoke fails.
+KEEPALIVE_REQUESTS = 200
+KEEPALIVE_MEDIAN_MS = 10.0
 
 
 def _get(base, path):
@@ -103,6 +110,35 @@ def _paged_csv(base, route, header, page):
         offset += page
         if rows < page:
             return b"".join(parts)
+
+
+def _keepalive_median_ms(base, paths, requests):
+    """Median latency (ms) of ``requests`` GETs cycling over ``paths`` on
+    one keep-alive HTTP/1.1 connection, each timed from send until its
+    body is read.  Every response must be a 200."""
+    import http.client
+    import statistics
+    import time
+    from urllib.parse import urlsplit
+
+    split = urlsplit(base)
+    conn = http.client.HTTPConnection(split.hostname, split.port,
+                                      timeout=30)
+    latencies = []
+    try:
+        for i in range(requests):
+            start = time.perf_counter()
+            conn.request("GET", paths[i % len(paths)])
+            response = conn.getresponse()
+            response.read()
+            latencies.append((time.perf_counter() - start) * 1000.0)
+            if response.status != 200:
+                raise SystemExit(
+                    f"keep-alive GET {paths[i % len(paths)]} -> "
+                    f"{response.status}")
+    finally:
+        conn.close()
+    return statistics.median(latencies)
 
 
 def _check(label, ok, detail=""):
@@ -258,6 +294,22 @@ def main(argv=None):
                           f"{schema.node_types[some_type].properties[0].name}"
                           f"?format=csv&offset=10000000&limit=64")
         if not _check("past-the-end offset is empty 200", body == b""):
+            failures += 1
+
+        # Keep-alive clients: a response split into a header write and
+        # a body write stalls ~40 ms on Nagle + delayed ACK per request.
+        first_prop = schema.node_types[some_type].properties[0].name
+        edge_name = next(iter(schema.edge_types))
+        median_ms = _keepalive_median_ms(base, [
+            f"/nodes/{some_type}?limit=64",
+            f"/properties/{some_type}/{first_prop}?limit=64",
+            f"/edges/{edge_name}?limit=64",
+            "/healthz",
+        ], KEEPALIVE_REQUESTS)
+        if not _check("keep-alive median latency",
+                      median_ms <= KEEPALIVE_MEDIAN_MS,
+                      f"{median_ms:.2f} ms over {KEEPALIVE_REQUESTS} "
+                      f"requests, limit {KEEPALIVE_MEDIAN_MS} ms"):
             failures += 1
     finally:
         if stop_cli is not None:
