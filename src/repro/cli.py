@@ -37,6 +37,15 @@ def _worker_count(text):
     return value
 
 
+def _retry_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"--retries must be >= 0, got {value}"
+        )
+    return value
+
+
 def _chunk_size(text):
     value = int(text)
     if value < 1:
@@ -103,7 +112,7 @@ def _add_sharding_args(cmd):
              "(see docs/robustness.md)",
     )
     cmd.add_argument(
-        "--retries", type=int, default=0, metavar="N",
+        "--retries", type=_retry_count, default=0, metavar="N",
         help="per-shard retry budget for out-of-core mode: a failed "
              "or killed worker shard is re-run (respawning the pool "
              "if it broke) with exponential backoff before the run "

@@ -99,6 +99,7 @@ class ShardPool:
     ``retries`` bounds re-runs *per shard*; ``backoff`` is the base
     delay of the exponential backoff (``backoff * 2**(attempt-1)``,
     capped at :data:`BACKOFF_CAP` seconds) slept before each re-run.
+    :class:`~repro.core.sharded.ShardedExecutor` validates all three.
     """
 
     BACKOFF_CAP = 2.0
@@ -109,9 +110,9 @@ class ShardPool:
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
         self.backend = backend
-        self.workers = max(int(workers), 1)
-        self.retries = max(int(retries), 0)
-        self.backoff = max(float(backoff), 0.0)
+        self.workers = workers
+        self.retries = retries
+        self.backoff = backoff
         self._pool = None
 
     def _executor(self):

@@ -17,14 +17,21 @@ any shard size and worker count, by construction rather than by luck:
 * chunkable structure generators (R-MAT raw, ER, SBM, 1→*) emit their
   ``run()`` output in chunks via the first-class
   :class:`~repro.structure.base.EdgeChunkStream` protocol;
-* permutation matchings relabel chunk-by-chunk with the exact mappings
-  the serial :func:`~repro.core.tasks.match_edge` derives;
+* permutation matchings relabel chunk-by-chunk through a
+  :class:`~repro.core.tasks.RelabeledEdges` view over the maps of
+  :func:`~repro.core.tasks.matching_maps`, the derivation the serial
+  :func:`~repro.core.tasks.match_edge` uses too;
 * genuinely global stages — sequential structure generators,
   correlated (SBM-Part) matching — materialise transiently, spill
   their result to the spool and free it;
 * sinks consume the spooled tables through the unchanged
   ``begin``/``on_table``/``finish`` protocol in serial plan order, so
   every format (gzip included) produces identical bytes.
+
+The structure handles (:func:`~repro.core.tasks.structure_handle`),
+the map derivation and the relabeled view live in the shared task
+layer because :class:`~repro.serve.VirtualGraph` serves from the same
+pieces.
 
 Concurrency.  Every per-shard unit — property kernel, structure chunk
 emission + relabel, export-chunk formatting — goes through one
@@ -52,21 +59,23 @@ from pathlib import Path
 import numpy as np
 
 from ..io.spool import TableSpool
-from ..prng import RandomStream, derive_seed
 from ..structure.registry import create_generator
-from ..tables import PropertyTable
 from . import faults as _faults
 from .checkpoint import CheckpointLedger, run_fingerprint
 from .dependency import DependencyError, build_task_graph
-from .matching import random_match
 from .procpool import BACKENDS, ShardPool, ShardedError
 from .result import PropertyGraph
-from .schema import Cardinality, SchemaError
+from .schema import SchemaError
 from .tasks import (
+    RelabeledEdges,
+    StructureHandle,
+    correlated_match,
     export_task_output,
     match_edge,
+    matching_maps,
     property_shard_values,
     resolve_count,
+    structure_handle,
     structure_inputs,
 )
 
@@ -192,123 +201,11 @@ def _property_shard_part(spool, key, index, spec, task_id, seed, bound,
     return spool.save_property_part(index, key, values)
 
 
-def _relabel_shard_part(spool, key, index, handle, lo, hi, tail_map,
-                        head_map):
+def _relabel_shard_part(spool, key, index, edges, lo, hi):
     """One edge shard: chunk emission + relabel to spool (any worker)."""
     _faults.fire("match", index)
     _faults.fire("shard", index)
-    tails, heads = handle.read_chunk(lo, hi)
-    if tail_map is not None:
-        tails = tail_map[tails]
-    if head_map is not None:
-        heads = head_map[heads]
-    return spool.save_edge_part(index, key, tails, heads)
-
-
-# -- structure handles ---------------------------------------------------------
-
-
-class _StructureHandle:
-    """Metadata + chunk access for a pre-matching structure.
-
-    Quacks like an :class:`~repro.tables.EdgeTable` for the metadata
-    consumers (``resolve_count``, ``random_match``) without holding the
-    edge columns in memory.
-    """
-
-    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed):
-        self.name = name
-        self.num_edges = int(num_edges)
-        self.num_tail_nodes = int(num_tail_nodes)
-        self.num_head_nodes = int(num_head_nodes)
-        self.directed = bool(directed)
-
-    def __len__(self):
-        return self.num_edges
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"structure {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def read_chunk(self, lo, hi):
-        raise NotImplementedError
-
-    def chunks(self):
-        raise NotImplementedError
-
-    def load(self):
-        raise NotImplementedError
-
-
-class _ChunkedStructure(_StructureHandle):
-    """Chunkable generator: edges re-emitted on demand, never resident.
-
-    Picklable (the chunk streams carry counter-based streams and spill
-    views, no closures), so worker processes re-emit chunks in place.
-    """
-
-    def __init__(self, stream):
-        super().__init__(
-            stream.name, stream.num_edges, stream.num_tail_nodes,
-            stream.num_head_nodes, stream.directed,
-        )
-        self._stream = stream
-
-    def read_chunk(self, lo, hi):
-        return self._stream.emit(lo, hi)
-
-    def chunks(self):
-        return self._stream.chunks()
-
-    def load(self):
-        return self._stream.to_edge_table()
-
-
-class _SpooledStructure(_StructureHandle):
-    """Sequential generator: edges spilled to scratch, memory-mapped."""
-
-    def __init__(self, spool, prefix, table):
-        super().__init__(
-            table.name, len(table), table.num_tail_nodes,
-            table.num_head_nodes, table.directed,
-        )
-        spill = spool.spiller(prefix)
-        self._tails = spill("tails", table.tails)
-        self._heads = spill("heads", table.heads)
-        self._chunk_edges = spool.shard_rows
-
-    def read_chunk(self, lo, hi):
-        return (
-            np.asarray(self._tails[lo:hi]),
-            np.asarray(self._heads[lo:hi]),
-        )
-
-    def chunks(self):
-        for lo in range(0, self.num_edges, self._chunk_edges):
-            hi = min(lo + self._chunk_edges, self.num_edges)
-            yield (lo, *self.read_chunk(lo, hi))
-
-    def load(self):
-        from ..tables import EdgeTable
-
-        return EdgeTable(
-            self.name,
-            np.asarray(self._tails),
-            np.asarray(self._heads),
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
+    return spool.save_edge_part(index, key, *edges.read_range(lo, hi))
 
 
 # -- result -------------------------------------------------------------------
@@ -410,15 +307,21 @@ class ShardedExecutor:
         self.shard_rows = int(shard_rows or DEFAULT_SHARD_ROWS)
         if self.shard_rows < 1:
             raise ValueError("shard_rows must be >= 1")
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers!r}")
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
         self.backend = backend
         self.spool_dir = spool_dir
-        self.retries = max(0, int(retries))
+        self.retries = int(retries)
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries!r}")
         self.backoff = float(backoff)
+        if not self.backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {backoff!r}")
         self.resume = bool(resume)
         if self.resume and spool_dir is None:
             raise ValueError(
@@ -660,7 +563,7 @@ class ShardedExecutor:
             # spool; a metadata-only handle keeps derived counts
             # resolvable without re-generating the structure.
             meta = self._ledger.structure_meta(task.subject)
-            structures[task.subject] = _StructureHandle(
+            structures[task.subject] = StructureHandle(
                 meta["name"], meta["num_edges"], meta["num_tail_nodes"],
                 meta["num_head_nodes"], meta["directed"],
             )
@@ -672,21 +575,10 @@ class ShardedExecutor:
         generator = create_generator(
             spec.name, seed=sg_seed, **spec.params
         )
-        prefix = f"structure.{task.subject}"
-        if generator.chunkable(n):
-            stream = generator.run_chunked(
-                n, spool.shard_rows, spill=spool.spiller(prefix)
-            )
-            structures[task.subject] = _ChunkedStructure(stream)
-        else:
-            # Sequential generators are a documented global stage:
-            # materialise once, spill to scratch, free.
-            table = generator.run(n)
-            structures[task.subject] = _SpooledStructure(
-                spool, prefix, table
-            )
-            del table
-        handle = structures[task.subject]
+        handle = structure_handle(
+            generator, n, spool, f"structure.{task.subject}"
+        )
+        structures[task.subject] = handle
         self._ledger.record_structure(task.subject, {
             "name": handle.name,
             "num_edges": handle.num_edges,
@@ -720,22 +612,14 @@ class ShardedExecutor:
         handle = structures[edge.name]
         tail_count = result.node_counts[edge.tail_type]
         head_count = result.node_counts[edge.head_type]
-        corr = edge.correlation
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-        )
-        correlated = (
-            corr is not None
-            and not strict
-            and (edge.is_monopartite or corr.head_property is not None)
-        )
-        if correlated:
+        if correlated_match(edge):
             # SBM-Part matching walks the whole structure — the other
             # documented global stage.  Materialise, match with the
             # exact serial kernel, spill the final table, free.  As a
             # global stage it checkpoints all-or-nothing: a partial
             # ack prefix from a crashed run is discarded, not resumed.
             self._ledger.reset_table(edge.name)
+            corr = edge.correlation
             structure = handle.load()
             tail_key = f"{edge.tail_type}.{corr.tail_property}"
             tail_pt = result.node_properties[
@@ -767,8 +651,7 @@ class ShardedExecutor:
             del table
         else:
             meta = self._match_streaming(
-                task, edge, handle, tail_count, head_count, spool,
-                strict, pool,
+                task, edge, handle, tail_count, head_count, spool, pool,
             )
             match = None
             table_name = handle.name
@@ -788,61 +671,23 @@ class ShardedExecutor:
         })
 
     def _match_streaming(self, task, edge, handle, tail_count,
-                         head_count, spool, strict, pool):
+                         head_count, spool, pool):
         """Permutation matchings applied chunk-by-chunk.
 
-        Derives the exact mappings the serial ``match_edge`` builds —
-        same streams, same slices — then relabels each structure chunk
-        as it is re-emitted.  The mappings are the O(nodes) term of the
-        memory bound.  On the process backend the mappings are spilled
-        once and shipped to workers as paths, so relabelling runs in
-        the pool with the chunks re-emitted worker-side.
+        :func:`~repro.core.tasks.matching_maps` derives the exact maps
+        the serial ``match_edge`` relabels with, and a
+        :class:`~repro.core.tasks.RelabeledEdges` view applies them to
+        each structure chunk as it is re-emitted.  The maps are the
+        O(nodes) term of the memory bound.  On the process backend
+        they are spilled once and the view ships to workers as spool
+        paths, so relabelling runs in the pool.
         """
-        stream = RandomStream(derive_seed(self.seed, task.task_id))
-        if strict:
-            if handle.num_tail_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {edge.name!r}: structure has more tails than "
-                    f"{edge.tail_type!r} instances"
-                )
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:handle.num_tail_nodes]
-            head_map = None  # identity: heads define the instances
-            n_tail = len(tail_map)
-            n_head = handle.num_head_nodes
-        elif not edge.is_monopartite:
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:handle.num_tail_nodes]
-            head_map = stream.substream("heads").permutation(
-                head_count
-            )[:handle.num_head_nodes]
-            n_tail, n_head = len(tail_map), len(head_map)
-        else:
-            if handle.num_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {edge.name!r}: structure has "
-                    f"{handle.num_nodes} nodes but {edge.tail_type!r} "
-                    f"has {tail_count} instances"
-                )
-            pt_ids = PropertyTable(
-                edge.name, np.arange(tail_count, dtype=np.int64)
-            )
-            mapping = random_match(
-                pt_ids, handle, seed=derive_seed(self.seed, task.task_id)
-            )
-            tail_map = head_map = mapping
-            n_tail = n_head = len(mapping)
+        edges = RelabeledEdges(handle, *matching_maps(
+            edge, self.seed, task.task_id, handle, tail_count,
+            head_count,
+        ))
         if self.backend == "process" and handle.num_edges:
-            # Ship the O(nodes) mappings once, as spool paths.
-            spill = spool.spiller(f"match.{edge.name}")
-            shared = head_map is tail_map
-            tail_map = spill("tail_map", tail_map)
-            if shared:
-                head_map = tail_map
-            elif head_map is not None:
-                head_map = spill("head_map", head_map)
+            edges = edges.spilled(spool.spiller(f"match.{edge.name}"))
         ledger = self._ledger
         acked = ledger.verified_shards(edge.name)
         total = -(-handle.num_edges // spool.shard_rows)
@@ -850,10 +695,9 @@ class ShardedExecutor:
         for index in range(skip):
             spool.record_edge_shard(edge.name, index, acked[index])
         jobs = (
-            (spool, edge.name, index, handle,
+            (spool, edge.name, index, edges,
              index * spool.shard_rows,
-             min((index + 1) * spool.shard_rows, handle.num_edges),
-             tail_map, head_map)
+             min((index + 1) * spool.shard_rows, handle.num_edges))
             for index in range(skip, total)
         )
         for offset, meta in enumerate(
@@ -862,7 +706,7 @@ class ShardedExecutor:
             index = skip + offset
             spool.record_edge_shard(edge.name, index, meta)
             ledger.ack_shard(edge.name, "edge", index, meta)
-        return n_tail, n_head, handle.directed
+        return edges.num_tail_nodes, edges.num_head_nodes, edges.directed
 
 
 def execute_sharded(schema, scale, seed=0, sink=None, **kwargs):

@@ -16,6 +16,10 @@ task bodies now live here in three functional layers:
 * **integration** — ``apply_task``, which composes extraction, kernel
   and result storage for the serial path; the parallel executor uses
   the same extraction/kernel pieces but runs kernels in a worker pool.
+* **bounded-memory reads** — the structure handles
+  (``structure_handle``) and the ``RelabeledEdges`` view over the
+  uncorrelated ``matching_maps``, shared by the sharded executor and
+  the serving layer so neither keeps its own copy.
 
 Property kernels additionally accept an id *range*: generating rows
 ``[start, stop)`` with the full-table stream is bit-identical to the
@@ -40,19 +44,26 @@ from .matching import (
 from .schema import Cardinality, SchemaError
 
 __all__ = [
+    "ChunkedStructure",
+    "RelabeledEdges",
+    "SpooledStructure",
+    "StructureHandle",
     "align_joint",
     "apply_task",
+    "correlated_match",
     "edge_property_inputs",
     "export_task_output",
     "generate_structure",
     "match_edge",
     "match_inputs",
     "match_prepare",
+    "matching_maps",
     "node_property_inputs",
     "property_shard_values",
     "property_values_at",
     "resolve_count",
     "store_task_output",
+    "structure_handle",
     "structure_inputs",
 ]
 
@@ -120,6 +131,155 @@ def generate_structure(spec, sg_seed, n):
     return generator.run(n)
 
 
+class StructureHandle:
+    """Metadata of a pre-matching structure, without its edge columns.
+
+    Quacks like an :class:`~repro.tables.EdgeTable` for the metadata
+    consumers (:func:`resolve_count`, :func:`matching_maps`).  The
+    subclasses add ``read_range(lo, hi)`` and ``load()``.
+    """
+
+    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
+                 directed):
+        self.name = name
+        self.num_edges = int(num_edges)
+        self.num_tail_nodes = int(num_tail_nodes)
+        self.num_head_nodes = int(num_head_nodes)
+        self.directed = bool(directed)
+
+    def __len__(self):
+        return self.num_edges
+
+    @property
+    def is_bipartite(self):
+        return self.num_tail_nodes != self.num_head_nodes
+
+    @property
+    def num_nodes(self):
+        if self.is_bipartite:
+            raise ValueError(
+                f"structure {self.name!r} is bipartite; use "
+                "num_tail_nodes / num_head_nodes"
+            )
+        return self.num_tail_nodes
+
+
+class ChunkedStructure(StructureHandle):
+    """Chunkable generator: edges re-emitted on demand, never resident.
+
+    Picklable (the chunk stream carries counter-based streams and
+    spill views, no closures), so worker processes re-emit edges in
+    place.
+    """
+
+    def __init__(self, stream):
+        super().__init__(
+            stream.name, stream.num_edges, stream.num_tail_nodes,
+            stream.num_head_nodes, stream.directed,
+        )
+        self._stream = stream
+
+    def read_range(self, lo, hi):
+        return self._stream.emit(lo, hi)
+
+    def load(self):
+        return self._stream.to_edge_table()
+
+
+class SpooledStructure(StructureHandle):
+    """A materialised edge table spilled to scratch and memory-mapped."""
+
+    def __init__(self, spill, table):
+        super().__init__(
+            table.name, len(table), table.num_tail_nodes,
+            table.num_head_nodes, table.directed,
+        )
+        self._tails = spill("tails", table.tails)
+        self._heads = spill("heads", table.heads)
+
+    def read_range(self, lo, hi):
+        return (
+            np.asarray(self._tails[lo:hi]),
+            np.asarray(self._heads[lo:hi]),
+        )
+
+    def load(self):
+        from ..tables import EdgeTable
+
+        return EdgeTable(
+            self.name,
+            np.asarray(self._tails),
+            np.asarray(self._heads),
+            num_tail_nodes=self.num_tail_nodes,
+            num_head_nodes=self.num_head_nodes,
+            directed=self.directed,
+        )
+
+
+def structure_handle(generator, n, spool, prefix):
+    """Run a structure generator into a bounded-memory handle.
+
+    Chunkable configurations become a :class:`ChunkedStructure` with
+    ``spool.shard_rows``-edge chunks; sequential ones are a global
+    stage: materialised once, spilled under ``prefix`` and freed.
+    """
+    spill = spool.spiller(prefix)
+    if generator.chunkable(n):
+        return ChunkedStructure(
+            generator.run_chunked(n, spool.shard_rows, spill=spill)
+        )
+    return SpooledStructure(spill, generator.run(n))
+
+
+class RelabeledEdges:
+    """Final edges of a permutation matching: a structure handle seen
+    through its matching maps (``None`` keeps a side's ids).
+
+    ``read_range(lo, hi)`` relabels one page as it is re-emitted, so
+    the O(nodes) maps are the only resident state.  With spilled maps
+    (:meth:`spilled`) the view pickles as spool paths, which is how
+    process workers relabel shards in place.
+    """
+
+    def __init__(self, structure, tail_map, head_map):
+        self.structure = structure
+        self.tail_map = tail_map
+        self.head_map = head_map
+        self.name = structure.name
+        self.directed = structure.directed
+        self.num_tail_nodes = (
+            structure.num_tail_nodes if tail_map is None
+            else len(tail_map)
+        )
+        self.num_head_nodes = (
+            structure.num_head_nodes if head_map is None
+            else len(head_map)
+        )
+
+    def __len__(self):
+        return len(self.structure)
+
+    def read_range(self, lo, hi):
+        """Final ``(tails, heads)`` of edge ids ``[lo, hi)``."""
+        tails, heads = self.structure.read_range(lo, hi)
+        if self.tail_map is not None:
+            tails = np.asarray(self.tail_map[tails])
+        if self.head_map is not None:
+            heads = np.asarray(self.head_map[heads])
+        return tails, heads
+
+    def spilled(self, spill):
+        """The same view with its maps parked through ``spill``."""
+        tail_map = head_map = None
+        if self.tail_map is not None:
+            tail_map = spill("tail_map", self.tail_map)
+        if self.head_map is self.tail_map:
+            head_map = tail_map
+        elif self.head_map is not None:
+            head_map = spill("head_map", self.head_map)
+        return RelabeledEdges(self.structure, tail_map, head_map)
+
+
 def match_prepare(seed, edge_name, structure, counts_tables=None):
     """Stream-order precomputation for a correlated matching step.
 
@@ -143,6 +303,77 @@ def match_prepare(seed, edge_name, structure, counts_tables=None):
     return prepare_match_stream(
         structure, order, counts_tables=counts_tables
     )
+
+
+def correlated_match(edge):
+    """True when ``edge`` is matched by SBM-Part, a global stage.
+
+    Strict-cardinality edges ignore correlations, and a bipartite edge
+    needs a head property as well; everything else is matched through
+    the permutation maps of :func:`matching_maps`.
+    """
+    corr = edge.correlation
+    return (
+        corr is not None
+        and not _is_strict(edge)
+        and (edge.is_monopartite or corr.head_property is not None)
+    )
+
+
+def _is_strict(edge):
+    return edge.cardinality in (
+        Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
+    )
+
+
+def _check_monopartite_fit(edge, structure, tail_count):
+    if structure.num_nodes > tail_count:
+        raise SchemaError(
+            f"edge {edge.name!r}: structure has {structure.num_nodes}"
+            f" nodes but {edge.tail_type!r} has {tail_count} instances"
+        )
+
+
+def matching_maps(edge, seed, task_id, structure, tail_count,
+                  head_count):
+    """``(tail_map, head_map)`` of an uncorrelated matching.
+
+    The maps are pure functions of ``(seed, task_id)`` and the
+    structure's node counts, which is what lets every execution mode
+    relabel edges chunk by chunk.  ``structure`` needs only the
+    :class:`~repro.tables.EdgeTable` metadata, so a
+    :class:`StructureHandle` works too.  A ``head_map`` of ``None`` is
+    the identity; for monopartite edges both maps are one array.
+    """
+    stream = RandomStream(derive_seed(seed, task_id))
+    if _is_strict(edge):
+        # Tails are matched to tail-type ids (randomly: a permutation
+        # preserves the degree distribution); heads keep identity
+        # because they *define* the head instances.
+        if structure.num_tail_nodes > tail_count:
+            raise SchemaError(
+                f"edge {edge.name!r}: structure has more tails than "
+                f"{edge.tail_type!r} instances"
+            )
+        tail_map = stream.substream("tails").permutation(tail_count)
+        return tail_map[:structure.num_tail_nodes], None
+    if not edge.is_monopartite:
+        # Bipartite many-to-many: permute each side.
+        tail_map = stream.substream("tails").permutation(
+            tail_count
+        )[:structure.num_tail_nodes]
+        head_map = stream.substream("heads").permutation(
+            head_count
+        )[:structure.num_head_nodes]
+        return tail_map, head_map
+    _check_monopartite_fit(edge, structure, tail_count)
+    pt_ids = PropertyTable(
+        edge.name, np.arange(tail_count, dtype=np.int64)
+    )
+    mapping = random_match(
+        pt_ids, structure, seed=derive_seed(seed, task_id)
+    )
+    return mapping, mapping
 
 
 def match_edge(
@@ -183,36 +414,17 @@ def match_edge(
         the final edge table and the matcher diagnostics (``None`` for
         random/permutation matching).
     """
-    stream = RandomStream(derive_seed(seed, task_id))
-    corr = edge.correlation
-
-    if edge.cardinality in (
-        Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-    ):
-        # Strict-cardinality edges: tails are matched to tail-type
-        # ids (randomly — a permutation preserves the degree
-        # distribution), heads keep identity (they *define* the head
-        # instances).
-        if structure.num_tail_nodes > tail_count:
-            raise SchemaError(
-                f"edge {edge.name!r}: structure has more tails than "
-                f"{edge.tail_type!r} instances"
-            )
-        perm = stream.substream("tails").permutation(tail_count)
-        tail_map = perm[:structure.num_tail_nodes]
-        head_map = np.arange(structure.num_head_nodes, dtype=np.int64)
+    if not correlated_match(edge):
+        tail_map, head_map = matching_maps(
+            edge, seed, task_id, structure, tail_count, head_count
+        )
+        if head_map is None:
+            head_map = np.arange(structure.num_head_nodes, dtype=np.int64)
         return structure.relabeled(tail_map, head_map), None
 
+    stream = RandomStream(derive_seed(seed, task_id))
+    corr = edge.correlation
     if not edge.is_monopartite:
-        if corr is None or corr.head_property is None:
-            # Uncorrelated bipartite many-to-many: permute each side.
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:structure.num_tail_nodes]
-            head_map = stream.substream("heads").permutation(
-                head_count
-            )[:structure.num_head_nodes]
-            return structure.relabeled(tail_map, head_map), None
         match = bipartite_sbm_part_match(
             tail_pt,
             head_pt,
@@ -227,20 +439,7 @@ def match_edge(
         )
         return final, match
 
-    # Monopartite many-to-many.
-    if structure.num_nodes > tail_count:
-        raise SchemaError(
-            f"edge {edge.name!r}: structure has {structure.num_nodes}"
-            f" nodes but {edge.tail_type!r} has {tail_count} instances"
-        )
-    if corr is None:
-        pt_ids = PropertyTable(
-            edge.name, np.arange(tail_count, dtype=np.int64)
-        )
-        mapping = random_match(
-            pt_ids, structure, seed=derive_seed(seed, task_id)
-        )
-        return structure.relabeled(mapping), None
+    _check_monopartite_fit(edge, structure, tail_count)
     _, categories = tail_pt.codes()
     joint = align_joint(corr.joint, list(categories), corr.values)
     if prep is None:
@@ -394,13 +593,10 @@ def match_inputs(schema, task, result, structures):
     edge = schema.edge_type(task.subject)
     structure = structures[edge.name]
     tail_pt = head_pt = None
-    strict = edge.cardinality in (
-        Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-    )
-    # Strict-cardinality matching ignores correlations, so don't ship
-    # the property tables into the kernel (they'd be pickled for
-    # nothing on the process backend).
-    if edge.correlation is not None and not strict:
+    # Permutation matchings ignore properties, so don't ship the
+    # property tables into the kernel (they'd be pickled for nothing
+    # on the process backend).
+    if correlated_match(edge):
         corr = edge.correlation
         tail_pt = result.node_property(
             edge.tail_type, corr.tail_property

@@ -217,6 +217,22 @@ def apply_overrides(values, start, ids, override_values):
     return patched
 
 
+def patch_gathered(values, wanted, ids, override_values):
+    """Patch ``values`` gathered at rows ``wanted`` with the sorted
+    override ``(ids, override_values)`` pairs, promoting the dtype
+    like :func:`apply_overrides`."""
+    pos = np.searchsorted(ids, wanted)
+    pos = np.minimum(pos, ids.size - 1)
+    hit = ids[pos] == wanted
+    if not hit.any():
+        return values
+    patched = values.astype(
+        np.promote_types(values.dtype, override_values.dtype), copy=True
+    )
+    patched[hit] = override_values[pos[hit]]
+    return patched
+
+
 class OverlayPropertyTable:
     """Base property column with sparse forced values patched in."""
 
@@ -268,16 +284,7 @@ class OverlayPropertyTable:
             out = np.asarray(self._base.gather(wanted))
         else:
             out = np.asarray(self._base.values)[wanted]
-        pos = np.searchsorted(self._ids, wanted)
-        pos = np.minimum(pos, self._ids.size - 1)
-        hit = self._ids[pos] == wanted
-        if hit.any():
-            out = out.astype(
-                np.promote_types(out.dtype, self._values.dtype),
-                copy=True,
-            )
-            out[hit] = self._values[pos[hit]]
-        return out
+        return patch_gathered(out, wanted, self._ids, self._values)
 
     def codes(self):
         """Category codes (audit path); mirrors ``PropertyTable``."""

@@ -10,12 +10,14 @@ stage it touches is a pure function of ``(seed, indices)``:
 * **node properties** — the PG protocol's ``properties_of`` via
   :func:`~repro.core.tasks.property_values_at`, with intra-type
   dependencies resolved recursively on the queried ids only;
-* **edges** — random-access structure generators re-emit any edge page
-  through :meth:`~repro.structure.base.EdgeChunkStream.emit`, then the
-  exact permutation maps the serial ``match_edge`` derives relabel the
-  page.  The maps are the documented O(nodes) term; they are spilled
-  to a disk spool and memory-mapped, so query-time allocation stays
-  O(page + chunk);
+* **edges** — the structure handles of the sharded executor
+  (:func:`~repro.core.tasks.structure_handle`) re-emit any edge page
+  from the seed, and a :class:`~repro.core.tasks.RelabeledEdges` view
+  relabels it through the permutation maps of
+  :func:`~repro.core.tasks.matching_maps`, the derivation the serial
+  ``match_edge`` uses too.  The maps are the documented O(nodes) term;
+  they are spilled to a disk spool and memory-mapped, so query-time
+  allocation stays O(page + chunk);
 * **edge properties** — the same PG kernel, with ``tail.x``/``head.x``
   dependencies gathered by *recomputing* the endpoint properties at
   the page's endpoint ids (random access again, no node table);
@@ -34,8 +36,10 @@ Planted scenarios (a ``plants:`` block in the recipe) are served as a
 bounded overlay: the :func:`~repro.planting.plant.plan_plants` plan is
 a pure function of ``(plants, node counts, base edge counts, seed)``,
 so the serving layer computes the *same* plan the exporters do.
-Appended plant edges occupy the contiguous id range ``[m, m+e)`` after
-the generated block, forced node attributes patch the public
+Each matched edge table is wrapped in the exporters'
+:class:`~repro.planting.overlay.OverlayEdgeTable`, so appended plant
+edges occupy the contiguous id range ``[m, m+e)`` after the generated
+block; forced node attributes patch the public
 node-property queries, and dependent edge properties over the
 appended ids are recomputed through the same random-access kernel —
 so ``neighbors_of`` / ``edge_exists`` see the injected patterns and
@@ -51,127 +55,24 @@ from pathlib import Path
 import numpy as np
 
 from ..core.dependency import build_task_graph
-from ..core.schema import Cardinality, SchemaError
+from ..core.schema import SchemaError
 from ..core.tasks import (
+    RelabeledEdges,
+    SpooledStructure,
+    correlated_match,
     match_edge,
+    matching_maps,
     property_values_at,
     resolve_count,
+    structure_handle,
     structure_inputs,
 )
 from ..io.spool import TableSpool
-from ..prng import RandomStream, derive_seed
+from ..planting.overlay import OverlayEdgeTable, patch_gathered
 from ..structure.registry import create_generator
 from ..tables import PropertyTable
 
 __all__ = ["VirtualGraph"]
-
-
-class _StructureSource:
-    """Pre-matching edges, pageable via ``emit(lo, hi)``.
-
-    Carries the same metadata surface as an
-    :class:`~repro.tables.EdgeTable` so :func:`resolve_count` and the
-    matching-map derivation can consume it directly.
-    """
-
-    def __init__(self, name, num_edges, num_tail_nodes, num_head_nodes,
-                 directed, random_access):
-        self.name = name
-        self.num_edges = int(num_edges)
-        self.num_tail_nodes = int(num_tail_nodes)
-        self.num_head_nodes = int(num_head_nodes)
-        self.directed = bool(directed)
-        self.random_access = bool(random_access)
-
-    def __len__(self):
-        return self.num_edges
-
-    @property
-    def is_bipartite(self):
-        return self.num_tail_nodes != self.num_head_nodes
-
-    @property
-    def num_nodes(self):
-        if self.is_bipartite:
-            raise ValueError(
-                f"structure {self.name!r} is bipartite; use "
-                "num_tail_nodes / num_head_nodes"
-            )
-        return self.num_tail_nodes
-
-    def emit(self, lo, hi):
-        raise NotImplementedError
-
-
-class _StreamSource(_StructureSource):
-    """Chunkable generator: pages re-derived from the seed on demand."""
-
-    def __init__(self, stream, random_access):
-        super().__init__(
-            stream.name, stream.num_edges, stream.num_tail_nodes,
-            stream.num_head_nodes, stream.directed, random_access,
-        )
-        self._stream = stream
-
-    def emit(self, lo, hi):
-        return self._stream.emit(lo, hi)
-
-    def to_edge_table(self):
-        return self._stream.to_edge_table()
-
-
-class _SpilledSource(_StructureSource):
-    """Materialised-once edges, spilled to the spool and memory-mapped."""
-
-    def __init__(self, spool, prefix, table):
-        super().__init__(
-            table.name, len(table), table.num_tail_nodes,
-            table.num_head_nodes, table.directed, random_access=False,
-        )
-        spill = spool.spiller(prefix)
-        self._tails = spill("tails", table.tails)
-        self._heads = spill("heads", table.heads)
-
-    def emit(self, lo, hi):
-        return (
-            np.asarray(self._tails[lo:hi]),
-            np.asarray(self._heads[lo:hi]),
-        )
-
-    def to_edge_table(self):
-        from ..tables import EdgeTable
-
-        return EdgeTable(
-            self.name,
-            np.asarray(self._tails),
-            np.asarray(self._heads),
-            num_tail_nodes=self.num_tail_nodes,
-            num_head_nodes=self.num_head_nodes,
-            directed=self.directed,
-        )
-
-
-class _EdgeState:
-    """Final (post-matching) edge pages for one edge type."""
-
-    def __init__(self, source, tail_map, head_map, mode, reason,
-                 directed):
-        self._source = source
-        self._tail_map = tail_map
-        self._head_map = head_map
-        self.mode = mode
-        self.reason = reason
-        self.directed = bool(directed)
-        self.num_edges = source.num_edges
-
-    def emit(self, lo, hi):
-        """Final ``(tails, heads)`` of edge ids ``[lo, hi)``."""
-        tails, heads = self._source.emit(lo, hi)
-        if self._tail_map is not None:
-            tails = np.asarray(self._tail_map[tails])
-        if self._head_map is not None:
-            heads = np.asarray(self._head_map[heads])
-        return tails, heads
 
 
 class VirtualGraph:
@@ -202,9 +103,9 @@ class VirtualGraph:
         self._spool = TableSpool(Path(spool_dir), self.chunk_rows)
         self._lock = threading.RLock()
         self.node_counts = {}
-        self._sources = {}
-        self._states = {}
-        self._correlated = {}
+        self._structures = {}
+        self._random_access = {}
+        self._edges = {}
         self.plan = None
         try:
             self._resolve_topology()
@@ -245,40 +146,25 @@ class VirtualGraph:
         for task in order:
             if task.kind == "count":
                 self.node_counts[task.subject] = resolve_count(
-                    self.schema, self.scale, task, self._sources
+                    self.schema, self.scale, task, self._structures
                 )
             elif task.kind == "structure":
-                self._sources[task.subject] = self._build_source(task)
+                self._structures[task.subject] = self._build_source(task)
 
     def _build_source(self, task):
+        """The pre-matching structure handle of one edge type: pages
+        re-derived from the seed, or (sequential generators) the table
+        materialised once and paged from the spool."""
         spec, sg_seed, n = structure_inputs(
             self.schema, self.scale, self.seed, task, self.node_counts
         )
         generator = create_generator(
             spec.name, seed=sg_seed, **spec.params
         )
-        prefix = f"structure.{task.subject}"
-        edge = self.schema.edge_type(task.subject)
-        corr = edge.correlation
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
+        self._random_access[task.subject] = generator.random_access(n)
+        return structure_handle(
+            generator, n, self._spool, f"structure.{task.subject}"
         )
-        self._correlated[task.subject] = (
-            corr is not None
-            and not strict
-            and (edge.is_monopartite or corr.head_property is not None)
-        )
-        if generator.chunkable(n):
-            stream = generator.run_chunked(
-                n, self.chunk_rows, spill=self._spool.spiller(prefix)
-            )
-            return _StreamSource(stream, generator.random_access(n))
-        # Sequential structure: the documented spooled concession —
-        # materialise once, park on disk, page from the mapping.
-        table = generator.run(n)
-        source = _SpilledSource(self._spool, prefix, table)
-        del table
-        return source
 
     # -- planting overlay --------------------------------------------------
 
@@ -294,8 +180,8 @@ class VirtualGraph:
         from ..planting import plan_plants
 
         base_counts = {
-            name: source.num_edges
-            for name, source in self._sources.items()
+            name: structure.num_edges
+            for name, structure in self._structures.items()
         }
         self.plan = plan_plants(
             list(plants), self.node_counts, base_counts, self.seed
@@ -303,10 +189,7 @@ class VirtualGraph:
 
     def _appended_edges(self, name):
         """``(tails, heads)`` of the appended plant block (maybe empty)."""
-        if self.plan is None:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        extra = self.plan.appended.get(name)
+        extra = None if self.plan is None else self.plan.appended.get(name)
         if extra is None:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
@@ -314,99 +197,47 @@ class VirtualGraph:
 
     def _apply_node_overrides(self, type_name, prop_name, ids, values):
         """Patch forced plant attributes into a node-property page."""
-        if self.plan is None:
-            return values
-        override = self.plan.overrides.get(f"{type_name}.{prop_name}")
+        override = None if self.plan is None else self.plan.overrides.get(
+            f"{type_name}.{prop_name}"
+        )
         if override is None:
             return values
-        ov_ids, ov_values = override
-        pos = np.searchsorted(ov_ids, ids)
-        pos = np.minimum(pos, ov_ids.size - 1)
-        hit = ov_ids[pos] == ids
-        if not hit.any():
-            return values
-        patched = values.astype(
-            np.promote_types(values.dtype, ov_values.dtype), copy=True
-        )
-        patched[hit] = ov_values[pos[hit]]
-        return patched
+        return patch_gathered(values, ids, *override)
 
-    # -- matching state (lazy, thread-safe) --------------------------------
+    # -- final edges (lazy, thread-safe) -----------------------------------
 
-    def _edge_state(self, name):
-        state = self._states.get(name)
-        if state is not None:
-            return state
+    def _final_edges(self, name):
+        """The final edge table of ``name``: the matched base edges
+        plus the appended plant block, as an
+        :class:`~repro.planting.overlay.OverlayEdgeTable`."""
+        edges = self._edges.get(name)
+        if edges is not None:
+            return edges
         with self._lock:
-            state = self._states.get(name)
-            if state is None:
-                state = self._build_edge_state(name)
-                self._states[name] = state
-            return state
+            edges = self._edges.get(name)
+            if edges is None:
+                edges = OverlayEdgeTable(
+                    self._matched_edges(name), *self._appended_edges(name)
+                )
+                self._edges[name] = edges
+            return edges
 
-    def _build_edge_state(self, name):
+    def _matched_edges(self, name):
         edge = self.schema.edge_type(name)
-        source = self._sources[name]
+        structure = self._structures[name]
         tail_count = self.node_counts[edge.tail_type]
         head_count = self.node_counts[edge.head_type]
-        if self._correlated[name]:
-            return self._build_correlated_state(
-                edge, source, tail_count, head_count
+        if correlated_match(edge):
+            return self._correlated_edges(
+                edge, structure, tail_count, head_count
             )
-        stream = RandomStream(derive_seed(self.seed, f"match:{name}"))
-        spill = self._spool.spiller(f"match.{name}")
-        strict = edge.cardinality in (
-            Cardinality.ONE_TO_MANY, Cardinality.ONE_TO_ONE
-        )
-        if strict:
-            if source.num_tail_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {name!r}: structure has more tails than "
-                    f"{edge.tail_type!r} instances"
-                )
-            tail_map = stream.substream("tails").permutation(
-                tail_count
-            )[:source.num_tail_nodes]
-            tail_map, head_map = spill("tail_map", tail_map), None
-        elif not edge.is_monopartite:
-            tail_map = spill("tail_map", stream.substream(
-                "tails"
-            ).permutation(tail_count)[:source.num_tail_nodes])
-            head_map = spill("head_map", stream.substream(
-                "heads"
-            ).permutation(head_count)[:source.num_head_nodes])
-        else:
-            if source.num_nodes > tail_count:
-                raise SchemaError(
-                    f"edge {name!r}: structure has {source.num_nodes} "
-                    f"nodes but {edge.tail_type!r} has {tail_count} "
-                    "instances"
-                )
-            from ..core.matching import random_match
+        return RelabeledEdges(structure, *matching_maps(
+            edge, self.seed, f"match:{name}", structure, tail_count,
+            head_count,
+        )).spilled(self._spool.spiller(f"match.{name}"))
 
-            pt_ids = PropertyTable(
-                name, np.arange(tail_count, dtype=np.int64)
-            )
-            mapping = spill("node_map", random_match(
-                pt_ids, source, seed=derive_seed(self.seed, f"match:{name}")
-            ))
-            tail_map = head_map = mapping
-        if source.random_access:
-            mode, reason = "virtual", (
-                "seed-derived chunked emission relabeled through "
-                "spilled permutation maps"
-            )
-        else:
-            mode, reason = "spooled", (
-                "sequential structure generator; edges materialised "
-                "once and paged from the disk spool"
-            )
-        return _EdgeState(
-            source, tail_map, head_map, mode, reason, source.directed
-        )
-
-    def _build_correlated_state(self, edge, source, tail_count,
-                                head_count):
+    def _correlated_edges(self, edge, structure, tail_count,
+                          head_count):
         """Correlated (SBM-Part) matching — the other global stage.
 
         Runs the exact serial matching kernel once, spills the final
@@ -414,7 +245,7 @@ class VirtualGraph:
         because it *is* the serial kernel.
         """
         corr = edge.correlation
-        structure = source.to_edge_table()
+        table = structure.load()
         tail_pt = PropertyTable(
             f"{edge.tail_type}.{corr.tail_property}",
             self._node_column(edge.tail_type, corr.tail_property),
@@ -426,19 +257,12 @@ class VirtualGraph:
                 self._node_column(edge.head_type, corr.head_property),
             )
         table, _ = match_edge(
-            edge, self.seed, f"match:{edge.name}", structure,
+            edge, self.seed, f"match:{edge.name}", table,
             tail_count, head_count, tail_pt, head_pt, prep=None,
         )
-        del structure, tail_pt, head_pt
-        final = _SpilledSource(
-            self._spool, f"final.{edge.name}", table
-        )
-        del table
-        return _EdgeState(
-            final, None, None, "spooled",
-            "correlated matching is a global stage; the matched table "
-            "is computed once and paged from the disk spool",
-            final.directed,
+        del tail_pt, head_pt
+        return SpooledStructure(
+            self._spool.spiller(f"final.{edge.name}"), table
         )
 
     def _node_column(self, type_name, prop_name):
@@ -537,9 +361,9 @@ class VirtualGraph:
 
     def base_edge_count(self, name):
         """Generated (pre-injection) edges only."""
-        if name not in self._sources:
+        if name not in self._structures:
             raise KeyError(f"unknown edge type {name!r}")
-        return self._sources[name].num_edges
+        return self._structures[name].num_edges
 
     def edge_property_names(self, name):
         return [
@@ -564,25 +388,10 @@ class VirtualGraph:
         edges, exactly like the exported overlay table.
         """
         lo, hi = self._check_edge_range(name, lo, hi)
-        m = self.base_edge_count(name)
-        parts_t, parts_h = [], []
-        if lo < m:
-            tails, heads = self._edge_state(name).emit(lo, min(hi, m))
-            parts_t.append(np.asarray(tails, dtype=np.int64))
-            parts_h.append(np.asarray(heads, dtype=np.int64))
-        if hi > m:
-            extra_tails, extra_heads = self._appended_edges(name)
-            parts_t.append(extra_tails[max(lo, m) - m: hi - m])
-            parts_h.append(extra_heads[max(lo, m) - m: hi - m])
-        if not parts_t:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        if len(parts_t) == 1:
-            return parts_t[0], parts_h[0]
-        return np.concatenate(parts_t), np.concatenate(parts_h)
+        return self._final_edges(name).read_range(lo, hi)
 
     def _edge_values(self, edge, prop, ids, tails, heads, cache,
-                     node_get=None):
+                     node_get):
         if prop.name in cache:
             return cache[prop.name]
         if prop.generator is None:
@@ -590,8 +399,6 @@ class VirtualGraph:
                 f"{edge.name}.{prop.name}: no property generator "
                 "declared"
             )
-        if node_get is None:
-            node_get = self._raw_node_properties_of
         deps = []
         for dep in prop.depends_on:
             if dep.startswith("tail."):
@@ -623,49 +430,32 @@ class VirtualGraph:
         so forced plant attributes feed dependent edge properties —
         mirroring the exported overlay tables in both halves.
         """
+        tails, heads = self.edges_range(edge.name, lo, hi)
         m = self.base_edge_count(edge.name)
-        pages = []
+        segments = []
         if lo < m:
-            b_hi = min(hi, m)
-            tails, heads = self._edge_state(edge.name).emit(lo, b_hi)
-            ids = np.arange(lo, b_hi, dtype=np.int64)
-            cache = {}
-            pages.append((tails, heads, {
-                prop.name: self._edge_values(
-                    edge, prop, ids, tails, heads, cache
-                )
-                for prop in props
-            }))
+            segments.append((0, min(hi, m) - lo,
+                             self._raw_node_properties_of))
         if hi > m:
-            extra_tails, extra_heads = self._appended_edges(edge.name)
-            a_lo, a_hi = max(lo, m) - m, hi - m
-            tails = extra_tails[a_lo:a_hi]
-            heads = extra_heads[a_lo:a_hi]
-            ids = np.arange(m + a_lo, m + a_hi, dtype=np.int64)
+            segments.append((max(lo, m) - lo, hi - lo,
+                             self.node_properties_of))
+        pages = []
+        for start, stop, node_get in segments:
+            ids = np.arange(lo + start, lo + stop, dtype=np.int64)
             cache = {}
-            pages.append((tails, heads, {
+            pages.append({
                 prop.name: self._edge_values(
-                    edge, prop, ids, tails, heads, cache,
-                    node_get=self.node_properties_of,
+                    edge, prop, ids, tails[start:stop],
+                    heads[start:stop], cache, node_get,
                 )
                 for prop in props
-            }))
-        if len(pages) == 1:
-            tails, heads, columns = pages[0]
-            return {"tail": tails, "head": heads, **columns}
-        if not pages:
-            empty = np.empty(0, dtype=np.int64)
-            out = {"tail": empty, "head": empty.copy()}
-            for prop in props:
-                out[prop.name] = np.empty(0)
-            return out
-        out = {
-            "tail": np.concatenate([p[0] for p in pages]),
-            "head": np.concatenate([p[1] for p in pages]),
-        }
+            })
+        out = {"tail": tails, "head": heads}
         for prop in props:
-            out[prop.name] = np.concatenate(
-                [p[2][prop.name] for p in pages]
+            columns = [page[prop.name] for page in pages] or [np.empty(0)]
+            out[prop.name] = (
+                columns[0] if len(columns) == 1
+                else np.concatenate(columns)
             )
         return out
 
@@ -724,13 +514,13 @@ class VirtualGraph:
         Scans the appended plant block too, so injected template edges
         are visible."""
         src, dst = int(src), int(dst)
-        state = self._edge_state(name)
+        directed = self._structures[name].directed
         total = self.edge_count(name)
         for lo in range(0, total, self.chunk_rows):
             hi = min(lo + self.chunk_rows, total)
             tails, heads = self.edges_range(name, lo, hi)
             hit = (tails == src) & (heads == dst)
-            if not state.directed:
+            if not directed:
                 hit |= (tails == dst) & (heads == src)
             if hit.any():
                 return True
@@ -739,24 +529,28 @@ class VirtualGraph:
     # -- metadata ----------------------------------------------------------
 
     def warm(self):
-        """Build every edge state up front (server start-up)."""
+        """Match every edge type up front (server start-up)."""
         for name in self.schema.edge_types:
-            self._edge_state(name)
+            self._final_edges(name)
         return self
 
     def classification(self):
         """Access-mode report: which tables are virtual and why."""
         edges = {}
         for name, edge in self.schema.edge_types.items():
-            source = self._sources[name]
-            if self._correlated[name]:
+            structure = self._structures[name]
+            correlated = correlated_match(edge)
+            random_access = (
+                self._random_access[name] and not correlated
+            )
+            if correlated:
                 mode = "spooled"
                 reason = (
                     "correlated matching is a global stage; the "
                     "matched table is computed once and paged from "
                     "the disk spool"
                 )
-            elif source.random_access:
+            elif random_access:
                 mode = "virtual"
                 reason = (
                     "seed-derived chunked emission relabeled through "
@@ -772,17 +566,16 @@ class VirtualGraph:
                 "count": self.edge_count(name),
                 "tail": edge.tail_type,
                 "head": edge.head_type,
-                "directed": source.directed,
+                "directed": structure.directed,
                 "mode": mode,
-                "random_access": source.random_access
-                and not self._correlated[name],
+                "random_access": random_access,
                 "reason": reason,
                 "properties": self.edge_property_names(name),
             }
             appended = self._appended_edges(name)[0].size
             if appended:
                 entry["planted"] = {
-                    "start": source.num_edges,
+                    "start": structure.num_edges,
                     "count": int(appended),
                 }
             edges[name] = entry

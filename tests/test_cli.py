@@ -166,6 +166,15 @@ class TestGenerate:
                 ["generate", str(schema_path), "--chunk-size", "0"]
             )
 
+    def test_negative_retries_rejected(self, tmp_path, capsys):
+        schema_path = tmp_path / "tiny.dsl"
+        schema_path.write_text(DSL)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["generate", str(schema_path), "--retries", "-1"]
+            )
+        assert "--retries must be >= 0" in capsys.readouterr().err
+
 
 class TestProtocol:
     def test_prints_cdf_table(self, capsys):

@@ -5,9 +5,11 @@ Three pillars (docs/serving.md):
 * **serve-vs-generate equivalence** — every node property column,
   edge endpoint and edge property page served by a
   :class:`~repro.serve.VirtualGraph` equals the materialised output
-  of the serial engine, on three zoo recipes covering all three edge
-  modes (virtual, spooled-sequential, spooled-correlated) plus a
-  planted benchmark recipe (appended edge block, forced attributes);
+  of the serial engine, on zoo recipes covering all three edge modes
+  (virtual, spooled-sequential, spooled-correlated), every matching
+  map branch (strict, monopartite, bipartite permutation, monopartite
+  and bipartite SBM-Part) and a planted benchmark recipe (appended
+  edge block, forced attributes);
 * **byte-identity** — a served CSV page is the exact line range of a
   ``generate`` export file;
 * **planted worlds** — ``neighbors_of`` / ``edge_exists`` see every
@@ -18,6 +20,7 @@ Three pillars (docs/serving.md):
 
 from __future__ import annotations
 
+import copy
 import http.client
 import json
 import threading
@@ -36,7 +39,7 @@ from repro.core.schema import (
 from repro.io.csv_io import write_property_table
 from repro.properties.base import PropertyGenerator
 from repro.properties.registry import register_property_generator
-from repro.scenarios import compile_scenario
+from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.scenarios.zoo import load_zoo
 from repro.serve import VirtualGraph, create_server
 
@@ -44,7 +47,24 @@ SCALES = {
     "social_network": {"Person": 250},
     "web_graph_rmat": {"Page": 256},
     "c2_pattern_infra_telemetry": {"Host": 300},
+    # Correlated bipartite matching (spooled) and, without its
+    # correlation block, the tails-plus-heads permutation maps.
+    "recommender_bipartite": {"User": 600, "Item": 300},
+    "recommender_bipartite_uncorrelated": {"User": 600, "Item": 300},
 }
+
+UNCORRELATED = "_uncorrelated"
+
+
+def _load_recipe(name):
+    """A zoo recipe; the ``_uncorrelated`` suffix drops every edge's
+    ``correlation:`` block (uncorrelated matching on the same graph)."""
+    if not name.endswith(UNCORRELATED):
+        return load_zoo(name)
+    raw = copy.deepcopy(load_zoo(name[:-len(UNCORRELATED)]).raw)
+    for edge in raw.get("edges", {}).values():
+        edge.pop("correlation", None)
+    return ScenarioSpec.from_dict(raw)
 
 
 def _reference_graph(compiled):
@@ -68,7 +88,7 @@ def _reference_graph(compiled):
 def scenario_pair(request):
     """(compiled, generated graph, virtual graph) per zoo recipe."""
     compiled = compile_scenario(
-        load_zoo(request.param), scale=SCALES[request.param]
+        _load_recipe(request.param), scale=SCALES[request.param]
     )
     graph = _reference_graph(compiled)
     virtual = VirtualGraph.from_scenario(compiled, chunk_rows=512)

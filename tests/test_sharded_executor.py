@@ -6,11 +6,14 @@ shard into the existing sinks writes exactly the bytes the in-memory
 ``export_graph`` writes.  These tests pin that claim on three zoo
 recipes (covering chunkable structures, sequential structures, strict
 cardinalities, and both correlated matching variants), plus the spool
-and manifest-merge layers underneath it.
+and manifest-merge layers underneath it.  A correlation-free copy of
+the bipartite recipe covers the uncorrelated bipartite
+(tails-plus-heads permutation) matching branch.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -40,23 +43,38 @@ from repro.io import (
     make_source,
     merge_shard_manifests,
 )
-from repro.scenarios import compile_scenario
+from repro.scenarios import ScenarioSpec, compile_scenario
 from repro.scenarios.zoo import load_zoo
 
 # Reduced scales keep each recipe fast while exercising multi-shard
-# paths; recommender keeps its recipe scale because head_nodes is baked
-# into the structure params.
+# paths; recommender_bipartite runs at its recipe scale.
 RECIPE_SCALES = {
     "social_network": {"Person": 220},
     "web_graph_rmat": {"Page": 512},
     "recommender_bipartite": None,
+    # The same recipe without its correlation block: the uncorrelated
+    # bipartite many-to-many (tails-plus-heads permutation) branch.
+    "recommender_bipartite_uncorrelated": {"User": 600, "Item": 300},
 }
+
+UNCORRELATED = "_uncorrelated"
+
+
+def _load_recipe(name):
+    """A zoo recipe; the ``_uncorrelated`` suffix drops every edge's
+    ``correlation:`` block (uncorrelated matching on the same graph)."""
+    if not name.endswith(UNCORRELATED):
+        return load_zoo(name)
+    raw = copy.deepcopy(load_zoo(name[:-len(UNCORRELATED)]).raw)
+    for edge in raw.get("edges", {}).values():
+        edge.pop("correlation", None)
+    return ScenarioSpec.from_dict(raw)
 
 
 @pytest.fixture(scope="module")
 def compiled_recipes():
     return {
-        name: compile_scenario(load_zoo(name), scale=scale)
+        name: compile_scenario(_load_recipe(name), scale=scale)
         for name, scale in RECIPE_SCALES.items()
     }
 
@@ -133,6 +151,17 @@ class TestSinkByteIdentity:
             serial_graphs["recommender_bipartite"],
             tmp_path, "csv", compress,
             shard_sizes=(1031, WHOLE),
+        )
+
+    @pytest.mark.parametrize("compress", [None, "gzip"])
+    def test_recommender_bipartite_uncorrelated(
+        self, compiled_recipes, serial_graphs, tmp_path, compress
+    ):
+        name = "recommender_bipartite_uncorrelated"
+        self._assert_matrix(
+            compiled_recipes[name], serial_graphs[name],
+            tmp_path, "csv", compress,
+            shard_sizes=(53, WHOLE),
         )
 
     @staticmethod
@@ -376,7 +405,10 @@ class TestProcessBackend:
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize(
-        "recipe", ["social_network", "recommender_bipartite"]
+        "recipe", [
+            "social_network", "recommender_bipartite",
+            "recommender_bipartite_uncorrelated",
+        ]
     )
     def test_backend_worker_matrix(
         self, compiled_recipes, serial_graphs, tmp_path, recipe, fmt
@@ -453,6 +485,19 @@ class TestProcessBackend:
             ShardedExecutor(
                 Schema(node_types=[NodeType("Person")]),
                 {"Person": 8}, backend="greenlet",
+            )
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 0), ("workers", -2), ("retries", -1),
+        ("backoff", -1), ("backoff", float("nan")),
+    ])
+    def test_invalid_pool_settings_rejected(self, field, value):
+        """Bad worker/retry input fails and names the field; it is
+        never clamped to a valid value."""
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            ShardedExecutor(
+                Schema(node_types=[NodeType("Person")]),
+                {"Person": 8}, **{field: value},
             )
 
 
